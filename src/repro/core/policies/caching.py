@@ -159,11 +159,6 @@ class CachingProxy(Proxy):
         self.proxy_stats["invalidations"] += dropped
         return dropped
 
-    @property
-    def proxy_cache_size(self) -> int:
-        """Number of live cached entries."""
-        return len(self._cache)
-
     # -- server-side installation ----------------------------------------------------------
 
     @classmethod

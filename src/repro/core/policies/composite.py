@@ -40,7 +40,8 @@ def _layer_config(config: dict, name: str) -> dict:
     specific = dict((config.get("layer_configs") or {}).get(name, {}))
     # Layer-relevant shared keys (shipped by on_export hooks) pass through.
     for key in ("control", "batch_control", "replicas", "collector",
-                "read_policy", "write_quorum", "ttl", "invalidation",
+                "read_policy", "write_quorum", "read_quorum", "versioned",
+                "version_key", "elect", "ttl", "invalidation",
                 "migrate_after", "batch_size", "batch_ops", "report_every",
                 "retry", "call_budget", "breaker", "stale_reads", "hedge",
                 "adaptive_budget", "shards", "ring", "ring_epoch",

@@ -434,6 +434,10 @@ class Dispatcher:
         return method(*args, **kwargs)
 
     def _remember(self, key: tuple[str, int], reply_data: bytes) -> None:
+        if reply_data.__class__ is not bytes:
+            # Keep the wire image, not the decoded fields a carried
+            # reply holds: 4096 entries of those would pin real memory.
+            reply_data = reply_data.wire_only()
         self._replay[key] = reply_data
         while len(self._replay) > self.replay_capacity:
             self._replay.popitem(last=False)

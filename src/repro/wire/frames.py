@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..kernel.errors import ProtocolError
-from .marshal import Marshaller
+from .marshal import Marshaller, thaw_carried
 
 #: Frame kinds.
 REQUEST = "req"      #: call expecting a reply
@@ -71,9 +71,10 @@ class Frame:
     def encode_message(self, marshaller: Marshaller):
         """Encode via the message fast path: returns a
         :class:`~repro.wire.segments.WireMessage` (zero-copy segments,
-        frame-template memo, carried fields for pure frames) or plain
-        bytes when nothing applies.  ``len()`` of either is the honest
-        wire size, so everything charged by length is unchanged."""
+        frame-template memo, carried fields for pure and plain-data
+        frames) or plain bytes when nothing applies.  ``len()`` of either
+        is the honest wire size, so everything charged by length is
+        unchanged."""
         if self.kind not in _KINDS:
             raise ProtocolError(f"unknown frame kind {self.kind!r}")
         return marshaller.encode_frame_message(
@@ -99,20 +100,22 @@ class Frame:
     def decode_message(cls, msg, marshaller: Marshaller) -> "Frame":
         """Decode a :class:`WireMessage` (or plain bytes) into a frame.
 
-        Carried frames skip the decoder entirely: the sender proved the
-        fields deeply immutable and parked them on the message, so the
-        receiver only fabricates fresh mutable shells (``headers`` dict,
-        request ``(args, kwargs)`` pair).  Everything else goes through
-        the segment-aware decoder, which hands raw payloads back
-        without copying.
+        Carried frames skip the decoder entirely.  For a pure frame the
+        sender proved the fields deeply immutable and parked them on the
+        message; for a plain-data frame it parked an immutable snapshot
+        of body and headers.  Either way the receiver only fabricates
+        fresh mutable shells
+        (:func:`~repro.wire.marshal.thaw_carried`), so decoding one
+        message twice, or after the sender mutated its body, yields
+        independent fields.  Everything else goes through the
+        segment-aware decoder, which hands raw payloads back without
+        copying.
         """
         if msg.__class__ is bytes or msg.__class__ is bytearray:
             return cls.decode(msg, marshaller)
         carried = msg.carried
         if carried is not None:
-            kind, msg_id, src, dst, target, verb, payload, is_pair = carried
-            body = (payload, {}) if is_pair else payload
-            return cls(kind, msg_id, src, dst, target, verb, body, {})
+            return cls(*thaw_carried(carried))
         fields = marshaller.decode_frame_message(msg)
         if not isinstance(fields, list) or len(fields) != 8:
             raise ProtocolError("malformed frame")

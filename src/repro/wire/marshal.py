@@ -28,7 +28,7 @@ precisely because the encoding of a primitive is a pure function of its
 value.  The memos evict FIFO at capacity and export hit/size counters
 (:func:`memo_stats`, surfaced via :mod:`repro.metrics`).
 
-Two message-level fast paths sit on top (both byte-transparent on the
+Three message-level fast paths sit on top (all byte-transparent on the
 wire — see ``wire/segments.py`` and DESIGN.md's zero-copy subsection):
 
 * **raw segments** — a ``bytes``/``bytearray``/``memoryview`` payload of
@@ -42,11 +42,32 @@ wire — see ``wire/segments.py`` and DESIGN.md's zero-copy subsection):
   suffix is memoised per ``(kind, src, dst, target, verb, body)`` and
   the decoded fields ride along with the message; the receiver rebuilds
   the frame without running the decoder at all.
+* **plain-data carried decode** — a frame whose headers and body hold
+  only exact-type ``dict``/``list``/``tuple`` over ``None``/``bool``/
+  ``int``/``float``/``str``/``bytes`` leaves, and no raw segment (bulk
+  payloads keep their zero-copy hand-off), is carried too; every quorum,
+  term and shard envelope is of this kind.
+  The encoder writes the same head as always and clears a flag whenever
+  it meets anything else (a ref, a set, a mutable buffer, a subclass, a
+  value the hook may swizzle).  If the flag survives, the message also
+  carries an immutable snapshot of ``(body, headers)`` — CPython's
+  built-in ``marshal`` image, produced and read in this process only,
+  never from the wire — which the receiver thaws into fresh containers
+  instead of decoding.  A retry re-sending the message, or a sender
+  mutating its body after the send, cannot reach what was delivered, and
+  the hooks miss nothing: plain data is hook-exempt and holds no ref.
+  Whatever keeps a message past delivery (the dispatcher's replay cache)
+  keeps :meth:`WireMessage.wire_only`, never a snapshot.
+  :func:`memo_stats` counts frames rebuilt from carried fields
+  (``carried_hits``) against frames that ran the byte decoder
+  (``carried_misses``).
 """
 
 from __future__ import annotations
 
 import struct
+from marshal import dumps as _snapshot_dumps
+from marshal import loads as _snapshot_loads
 from typing import Any, Callable
 
 from ..kernel.errors import MarshalError
@@ -103,6 +124,17 @@ RAW_THRESHOLD = 4096
 _LIST8_HEAD = _TAG_LIST + _U32.pack(8)
 _EMPTY_DICT = _TAG_DICT + _U32.pack(0)
 
+# The last field of a ``WireMessage.carried`` tuple: what its payload is.
+CARRY_BODY = 0      #: the deeply-immutable body itself
+CARRY_PAIR = 1      #: a request's args tuple; the body is ``(args, {})``
+CARRY_SNAPSHOT = 2  #: a snapshot of ``(body, headers)``, plain data
+
+#: ``marshal`` format of the snapshots.  Version 2 writes floats in binary
+#: (exact, ``-0.0`` included) and, unlike 3 and later, never emits
+#: back-references, so an object reached twice loads as two objects — as
+#: the byte decoder delivers it.
+_SNAPSHOT_VERSION = 2
+
 #: Encoder hook: given a value the base encoder cannot handle (or any
 #: hook-eligible value — see the module docstring for exemptions), return a
 #: replacement value or ``None`` to decline.
@@ -143,12 +175,15 @@ class MemoStats:
     Monotonic since process start (or the last :func:`reset_memo_stats`);
     surfaced through :func:`memo_stats` and re-exported by
     :mod:`repro.metrics`.  Counters live off the trace/cost model — they
-    observe the simulator, they never feed it.
+    observe the simulator, they never feed it.  ``carried_hits`` counts
+    received frames rebuilt from carried fields, ``carried_misses``
+    frames that ran the byte decoder.
     """
 
     __slots__ = ("str_enc_hits", "str_enc_misses", "str_dec_hits",
                  "str_dec_misses", "int_enc_hits", "int_enc_misses",
-                 "tmpl_hits", "tmpl_misses", "evictions")
+                 "tmpl_hits", "tmpl_misses", "evictions", "carried_hits",
+                 "carried_misses")
 
     def __init__(self):
         self.reset()
@@ -163,6 +198,8 @@ class MemoStats:
         self.tmpl_hits = 0
         self.tmpl_misses = 0
         self.evictions = 0
+        self.carried_hits = 0
+        self.carried_misses = 0
 
 
 _MEMO_STATS = MemoStats()
@@ -189,6 +226,8 @@ def memo_stats() -> dict:
         "tmpl_hits": stats.tmpl_hits,
         "tmpl_misses": stats.tmpl_misses,
         "evictions": stats.evictions,
+        "carried_hits": stats.carried_hits,
+        "carried_misses": stats.carried_misses,
         "str_enc_size": len(_STR_ENC),
         "str_dec_size": len(_STR_DEC),
         "int_enc_size": len(_INT_ENC),
@@ -216,25 +255,22 @@ _IMMUTABLE_LEAVES = frozenset(
     {type(None), bool, int, float, str, bytes})
 
 
-def deeply_immutable(value) -> bool:
-    """Exact-type deep immutability: scalars/bytes/str and tuples thereof.
+def thaw_carried(carried: tuple) -> tuple:
+    """The eight frame fields of a :attr:`WireMessage.carried` tuple.
 
-    Deliberately strict — subclasses fail the test so hook-eligible
-    values never ride the carried-decode path, and mutable containers
-    fail it so no mutable object is ever shared between contexts.
+    Mutable shells are built fresh on every call — the ``(args, {})``
+    pair, the empty headers dict, and every container of a snapshot — so
+    two decodes of one message share no mutable object with each other
+    or with the sender.
     """
-    cls = value.__class__
-    if cls in _IMMUTABLE_LEAVES:
-        return True
-    if cls is tuple:
-        for item in value:
-            icls = item.__class__
-            if icls in _IMMUTABLE_LEAVES:
-                continue
-            if icls is not tuple or not deeply_immutable(item):
-                return False
-        return True
-    return False
+    _MEMO_STATS.carried_hits += 1
+    kind, msg_id, src, dst, target, verb, payload, shape = carried
+    if shape == CARRY_SNAPSHOT:
+        body, headers = _snapshot_loads(payload)
+        return kind, msg_id, src, dst, target, verb, body, headers
+    if shape == CARRY_PAIR:
+        payload = (payload, {})
+    return kind, msg_id, src, dst, target, verb, payload, {}
 
 
 def _typed_key(value):
@@ -296,6 +332,10 @@ class Marshaller:
         self._segs: list | None = None
         self._split: tuple | None = None
         self._split_idx = 0
+        # Cleared by every encoder of a value that is not plain data (see
+        # the module docstring); read after a message encode to decide
+        # whether the frame may carry a snapshot.
+        self._plain = True
 
     # -- encoding ------------------------------------------------------------
 
@@ -319,6 +359,7 @@ class Marshaller:
         also handles subclasses of the built-in types, which the exact-type
         dispatch table deliberately does not claim.
         """
+        self._plain = False
         if self.encoder_hook is not None:
             replacement = self.encoder_hook(value)
             if replacement is not None and replacement is not value:
@@ -414,6 +455,7 @@ class Marshaller:
         """
         if data[:5] != _LIST8_HEAD:
             return None
+        _MEMO_STATS.carried_misses += 1
         offset = 5
         fields = []
         append = fields.append
@@ -463,16 +505,19 @@ class Marshaller:
                              headers: dict):
         """Encode one frame, returning ``bytes`` or a :class:`WireMessage`.
 
-        Three outcomes, all carrying byte-identical wire images:
+        Four outcomes, all carrying byte-identical wire images:
 
-        * no bulk payloads, impure frame → plain ``bytes``, exactly what
-          :meth:`encode_frame_fields` produces;
+        * no bulk payloads, frame not plain data → plain ``bytes``,
+          exactly what :meth:`encode_frame_fields` produces;
         * bulk payloads → a :class:`WireMessage` whose segments hold the
           payload objects uncopied;
         * *pure* frame (empty headers, deeply-immutable body) → a
           :class:`WireMessage` whose ``carried`` tuple lets the receiver
           skip the decoder; the encoded suffix is memoised so repeat
-          sends of the same logical frame cost one concatenation.
+          sends of the same logical frame cost one concatenation;
+        * *plain-data* frame without bulk payloads → a
+          :class:`WireMessage` carrying a snapshot of ``(body,
+          headers)`` that the receiver thaws instead of decoding.
         """
         pure = None
         pkey = None
@@ -485,15 +530,15 @@ class Marshaller:
                 # kwargs dict, so no mutable object is ever shared.
                 pkey = _typed_key(body[0])
                 if pkey is not None:
-                    pure = (body[0], True)
+                    pure = (body[0], CARRY_PAIR)
             else:
                 pkey = _typed_key(body)
                 if pkey is not None:
-                    pure = (body, False)
+                    pure = (body, CARRY_BODY)
         key = None
         if pure is not None and 0 <= msg_id < 2**63:
-            payload, is_pair = pure
-            key = (kind, src, dst, target, verb, pkey, is_pair)
+            payload, shape = pure
+            key = (kind, src, dst, target, verb, pkey, shape)
             tmpl = _TMPL_ENC.get(key)
             if tmpl is not None:
                 _MEMO_STATS.tmpl_hits += 1
@@ -503,10 +548,10 @@ class Marshaller:
                 mid = _TAG_INT + _I64.pack(msg_id)
                 return WireMessage(
                     prefix + mid + suffix, segments, nbytes,
-                    (kind, msg_id, src, dst, target, verb, payload,
-                     is_pair))
+                    (kind, msg_id, src, dst, target, verb, payload, shape))
             _MEMO_STATS.tmpl_misses += 1
         self._segs = segs = []
+        self._plain = True
         try:
             head = self.encode_frame_fields(kind, msg_id, src, dst,
                                             target, verb, body, headers)
@@ -514,16 +559,24 @@ class Marshaller:
             self._segs = None
         if pure is None:
             if not segs:
-                return head
+                if not self._plain:
+                    return head
+                # Every value the encoder met was plain data, and the
+                # snapshot is taken before the sender can touch it again.
+                return WireMessage(
+                    head, (), len(head),
+                    (kind, msg_id, src, dst, target, verb,
+                     _snapshot_dumps((body, headers), _SNAPSHOT_VERSION),
+                     CARRY_SNAPSHOT))
             segments = tuple(segs)
             nbytes = len(head) + sum(
                 p.nbytes if p.__class__ is memoryview else len(p)
                 for _, p in segments)
             return WireMessage(head, segments, nbytes, None)
-        payload, is_pair = pure
+        payload, shape = pure
         segments = tuple(segs)
         nbytes = len(head) + sum(len(p) for _, p in segments)
-        carried = (kind, msg_id, src, dst, target, verb, payload, is_pair)
+        carried = (kind, msg_id, src, dst, target, verb, payload, shape)
         if key is not None and 0 <= msg_id < 2**63:
             # Split the head around the (fixed-width) msg_id so a
             # template hit only re-encodes that one field.  Segment
@@ -828,6 +881,7 @@ def _enc_bytes(m: Marshaller, value: bytes, out: bytearray) -> None:
 
 
 def _enc_bytelike(m: Marshaller, value, out: bytearray) -> None:
+    m._plain = False
     size = value.nbytes if value.__class__ is memoryview else len(value)
     segs = m._segs
     if segs is not None and size >= m._raw_min:
@@ -943,6 +997,7 @@ def _enc_dict(m: Marshaller, value: dict, out: bytearray) -> None:
 
 
 def _enc_set(m: Marshaller, value: set, out: bytearray) -> None:
+    m._plain = False
     out += _TAG_SET
     out += _U32.pack(len(value))
     encode_into = m._encode_into
@@ -951,6 +1006,7 @@ def _enc_set(m: Marshaller, value: set, out: bytearray) -> None:
 
 
 def _enc_frozenset(m: Marshaller, value: frozenset, out: bytearray) -> None:
+    m._plain = False
     out += _TAG_FROZENSET
     out += _U32.pack(len(value))
     encode_into = m._encode_into
@@ -959,6 +1015,7 @@ def _enc_frozenset(m: Marshaller, value: frozenset, out: bytearray) -> None:
 
 
 def _enc_ref(m: Marshaller, value: ObjectRef, out: bytearray) -> None:
+    m._plain = False
     m._encode_ref(value, out)
 
 

@@ -38,11 +38,17 @@ class WireMessage:
             byte length.  This equals what the inline encoding would
             have produced, so marshal charges and network transit times
             are bit-identical to the copying path.
-        carried: for *pure* frames (empty headers, deeply-immutable
-            body), the decoded field tuple ``(kind, msg_id, src, dst,
-            target, verb, payload, is_request_pair)`` — the receiver
-            rebuilds the frame from it without touching the decoder at
-            all.  ``None`` when the frame must be decoded for real.
+        carried: the field tuple ``(kind, msg_id, src, dst, target,
+            verb, payload, shape)`` from which the receiver rebuilds the
+            frame without touching the decoder at all.  For *pure* frames
+            (empty headers, deeply-immutable body) ``payload`` is the
+            body or a request's args tuple; for *plain-data* frames (see
+            ``wire/marshal.py``) it is an immutable snapshot of ``(body,
+            headers)``, thawed into fresh containers on every decode.
+            ``shape`` is one of the ``marshal.CARRY_*`` constants.
+            ``None`` when the frame must be decoded for real.  Equality
+            ignores it: two messages are equal when their wire images
+            are, and a message equals the ``bytes`` of its wire image.
     """
 
     __slots__ = ("head", "segments", "nbytes", "carried")
@@ -56,6 +62,17 @@ class WireMessage:
 
     def __len__(self) -> int:
         return self.nbytes
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is WireMessage:
+            return self.nbytes == other.nbytes \
+                and self.to_bytes() == other.to_bytes()
+        if other.__class__ is bytes:
+            return self.to_bytes() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.to_bytes())
 
     def to_bytes(self) -> bytes:
         """The contiguous wire image (segments spliced after their
@@ -89,6 +106,19 @@ class WireMessage:
         frozen = tuple((offset, bytes(payload))
                        for offset, payload in self.segments)
         return WireMessage(self.head, frozen, self.nbytes, self.carried)
+
+    def wire_only(self):
+        """This message without its carried fields, for holders that keep
+        it past delivery: the head alone when there are no segments.
+
+        A replay cache that kept carried fields would pin one snapshot
+        per remembered reply on top of its wire image.  A replayed reply
+        is rare and decodes from the wire image just as well."""
+        if self.carried is None:
+            return self
+        if not self.segments:
+            return self.head
+        return WireMessage(self.head, self.segments, self.nbytes, None)
 
     def __repr__(self) -> str:
         return (f"WireMessage({self.nbytes} bytes, "

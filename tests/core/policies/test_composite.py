@@ -175,6 +175,42 @@ class TestResilientOverCaching:
         assert b.get("k") == 2
 
 
+class TestQuorumUnderExtraLayers:
+    """Quorum keys must reach the replication layer through a stack.
+
+    The composite hands each layer only whitelisted shared keys; a key
+    missing from that list silently turned an elected W=2/R=2 group into
+    legacy write-all once another layer was stacked in front of it.
+    """
+
+    @staticmethod
+    def _inner(star, **quorum):
+        system, server, clients = star
+        ref = repro.replicate([server, clients[1], clients[2]], KVStore,
+                              write_quorum=2, extra_layers=["resilient"],
+                              **quorum)
+        repro.register(server, "kv", ref)
+        proxy = repro.bind(clients[0], "kv")
+        proxy.put("k", 1)
+        assert proxy.proxy_layers == ["ResilientProxy", "ReplicatedProxy"]
+        return proxy._build_stack()[-1]
+
+    def test_read_quorum_and_version_key_reach_replication(self, star):
+        inner = self._inner(star, read_quorum=2, version_key="arg0")
+        assert inner._quorum_mode()
+        assert inner.proxy_config["read_quorum"] == 2
+        assert inner.proxy_config["version_key"] == "arg0"
+
+    def test_versioned_reaches_replication(self, star):
+        inner = self._inner(star, versioned=True)
+        assert inner._quorum_mode()
+
+    def test_elect_reaches_replication(self, star):
+        inner = self._inner(star, read_quorum=2, version_key="arg0",
+                            elect=True)
+        assert inner._elect_mode()
+
+
 class TestConfiguration:
     def test_empty_layers_rejected(self, pair):
         system, server, client = pair

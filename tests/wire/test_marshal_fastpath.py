@@ -21,9 +21,13 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.wire.marshal import PLAIN, Marshaller
+from repro.wire.frames import REPLY, REQUEST, Frame
+from repro.wire.marshal import PLAIN, Marshaller, memo_stats
 from repro.wire.refs import ObjectRef
+from repro.wire.segments import WireMessage
 
 _U32 = struct.Struct(">I")
 _I64 = struct.Struct(">q")
@@ -242,3 +246,201 @@ def test_frame_decoder_rejects_non_frames_and_garbage():
         PLAIN.decode_frame_fields(good[:-3])
     with pytest.raises(MarshalError):
         PLAIN.decode_frame_fields(good + b"x")
+
+
+# -- carried decode of plain-data frames ---------------------------------------
+#
+# A frame whose headers and body are plain data rides a snapshot instead of
+# being decoded.  The byte decoder run on the contiguous wire image is the
+# reference: the carried fields must equal its output with exact types at
+# every depth (``True`` is not ``1``, ``-0.0`` is not ``0.0``, a tuple is
+# not a list).
+
+_plain_leaf = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=False), st.text(max_size=8), st.binary(max_size=8))
+
+_plain_key = st.one_of(
+    st.text(max_size=6), st.integers(min_value=-9, max_value=9),
+    st.tuples(st.integers(min_value=-9, max_value=9), st.text(max_size=3)))
+
+plain_data = st.recursive(
+    _plain_leaf,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_plain_key, inner, max_size=4)),
+    max_leaves=16)
+
+plain_headers = st.dictionaries(st.text(max_size=6), plain_data, max_size=3)
+
+
+def _typed(value):
+    """``value`` with every node paired with its exact class (floats by
+    bit pattern), so equality means equal *and* identically typed."""
+    cls = value.__class__
+    if cls is dict:
+        return (dict, tuple((_typed(k), _typed(v)) for k, v in value.items()))
+    if cls is list or cls is tuple:
+        return (cls, tuple(_typed(item) for item in value))
+    if cls is float:
+        return (float, _F64.pack(value))
+    return (cls, value)
+
+
+def _fields(frame: Frame) -> tuple:
+    return (frame.kind, frame.msg_id, frame.src, frame.dst, frame.target,
+            frame.verb, _typed(frame.body), _typed(frame.headers))
+
+
+def _mutable_ids(value, out: set) -> set:
+    """ids of every dict and list reachable from ``value``."""
+    cls = value.__class__
+    if cls is dict:
+        out.add(id(value))
+        for key, val in value.items():
+            _mutable_ids(key, out)
+            _mutable_ids(val, out)
+    elif cls is list or cls is tuple:
+        if cls is list:
+            out.add(id(value))
+        for item in value:
+            _mutable_ids(item, out)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=plain_data, headers=plain_headers)
+def test_carried_decode_matches_the_byte_decoder(body, headers):
+    frame = Frame(REPLY, 5, "c0/main", "s0/main", body=body,
+                  headers=headers)
+    msg = frame.encode_message(PLAIN)
+    assert msg.__class__ is WireMessage and msg.carried is not None
+    assert msg.to_bytes() == naive_encode(
+        [REPLY, 5, "c0/main", "s0/main", "", "", body, headers])
+    carried = Frame.decode_message(msg, PLAIN)
+    decoded = Frame.decode(msg.to_bytes(), PLAIN)
+    assert _fields(carried) == _fields(decoded)
+
+
+@settings(max_examples=200, deadline=None)
+@given(args=st.lists(plain_data, max_size=3).map(tuple),
+       kwargs=st.dictionaries(st.text(max_size=4), plain_data, max_size=2),
+       headers=plain_headers)
+def test_carried_request_matches_the_byte_decoder(args, kwargs, headers):
+    frame = Frame(REQUEST, 9, "c0/main", "s0/main", target="oid1",
+                  verb="put", body=(args, kwargs), headers=headers)
+    msg = frame.encode_message(PLAIN)
+    assert msg.carried is not None
+    assert _fields(Frame.decode_message(msg, PLAIN)) == \
+        _fields(Frame.decode(msg.to_bytes(), PLAIN))
+
+
+@settings(max_examples=200, deadline=None)
+@given(body=plain_data, headers=plain_headers)
+def test_two_decodes_share_no_mutable_object(body, headers):
+    msg = Frame(REPLY, 5, "c0/main", "s0/main", body=body,
+                headers=headers).encode_message(PLAIN)
+    one = Frame.decode_message(msg, PLAIN)
+    two = Frame.decode_message(msg, PLAIN)
+    sent = _mutable_ids(headers, _mutable_ids(body, set()))
+    got_one = _mutable_ids(one.headers, _mutable_ids(one.body, set()))
+    got_two = _mutable_ids(two.headers, _mutable_ids(two.body, set()))
+    assert not got_one & got_two
+    assert not (got_one | got_two) & sent
+
+
+def test_sender_mutation_after_encode_does_not_reach_the_receiver():
+    body = {"q.v": 3, "q.val": "v1", "q.tl": [1, 0]}
+    headers = {"q.a": ["k1", 3], "q.t": [1, 0]}
+    msg = Frame(REQUEST, 7, "c0/main", "s0/main", target="oid1",
+                verb="put", body=(("k1", body), {}),
+                headers=headers).encode_message(PLAIN)
+    body["q.v"] = 99
+    body["q.tl"].append(7)
+    headers["q.t"][0] = 5
+    headers["q.x"] = True
+    got = Frame.decode_message(msg, PLAIN)
+    assert got.body == (("k1", {"q.v": 3, "q.val": "v1", "q.tl": [1, 0]}),
+                        {})
+    assert got.headers == {"q.a": ["k1", 3], "q.t": [1, 0]}
+
+
+def test_an_object_sent_twice_arrives_as_two_objects():
+    # The byte decoder builds one list per occurrence; the snapshot must
+    # not fold two occurrences of one sender object into one.
+    shared = [1, 2]
+    msg = Frame(REPLY, 2, "c0/main", "s0/main",
+                body={"a": shared, "b": (shared,)},
+                headers={"q.t": shared}).encode_message(PLAIN)
+    got = Frame.decode_message(msg, PLAIN)
+    lists = [got.body["a"], got.body["b"][0], got.headers["q.t"]]
+    assert lists == [shared] * 3
+    assert len({id(item) for item in lists}) == 3
+
+
+class _TaggedInt(int):
+    pass
+
+
+class _TaggedBytes(bytes):
+    pass
+
+
+_REF = ObjectRef("n1/main", "oid9", "IThing", 2, "stub")
+
+
+@pytest.mark.parametrize("odd", [
+    _REF, _TaggedInt(7), _TaggedBytes(b"xy"), bytearray(b"xy"),
+    memoryview(b"xy"), {1, 2}, frozenset({3}), Exportable("oid4"),
+], ids=["ref", "int-subclass", "bytes-subclass", "bytearray",
+        "memoryview", "set", "frozenset", "swizzled-export"])
+def test_non_plain_frames_take_the_decoder_and_its_hooks(odd):
+    encoded, decoded = [], []
+
+    def encode_hook(value):
+        encoded.append(value)
+        return _object_space_hook(value)
+
+    def decode_hook(ref):
+        decoded.append(ref)
+        return ref
+
+    sender = Marshaller(encoder_hook=encode_hook)
+    receiver = Marshaller(decoder_hook=decode_hook)
+    frame = Frame(REPLY, 3, "c0/main", "s0/main",
+                  body={"q.v": 1, "q.val": [odd]}, headers={"q.t": [1, 0]})
+    msg = frame.encode_message(sender)
+    assert getattr(msg, "carried", None) is None
+    before = memo_stats()
+    got = Frame.decode_message(msg, receiver)
+    after = memo_stats()
+    assert after["carried_misses"] == before["carried_misses"] + 1
+    assert after["carried_hits"] == before["carried_hits"]
+    reference = Frame.decode(
+        naive_encode([REPLY, 3, "c0/main", "s0/main", "", "",
+                      {"q.v": 1, "q.val": [odd]}, {"q.t": [1, 0]}],
+                     hook=_object_space_hook), Marshaller())
+    assert got.body == reference.body
+    # The hooks saw exactly what they see on the byte path: the encoder
+    # hook every value outside the exact-type table, the decoder hook
+    # every ref.
+    if odd.__class__ in (_TaggedInt, _TaggedBytes, Exportable):
+        assert any(value is odd for value in encoded)
+    else:
+        assert encoded == []
+    if odd.__class__ in (ObjectRef, Exportable):
+        assert len(decoded) == 1
+    else:
+        assert decoded == []
+
+
+def test_bulk_frames_keep_the_zero_copy_segment_path():
+    blob = b"\x21" * 8192
+    frame = Frame(REQUEST, 4, "c0/main", "s0/main", target="oid1",
+                  verb="put", body=(("k1", blob), {}),
+                  headers={"s.e": [1], "s.k": 12})
+    msg = frame.encode_message(PLAIN)
+    assert msg.carried is None and msg.segments
+    assert Frame.decode_message(msg, PLAIN).body[0][1] is blob

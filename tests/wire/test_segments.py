@@ -53,6 +53,25 @@ class TestWireMessage:
         msg = WireMessage(b"h", ((1, bytearray(b"x")),), 2, carried)
         assert msg.freeze().carried is carried
 
+    def test_wire_only_drops_carried_fields(self):
+        carried = ("one", 7, "a", "b", "t", "v", (), 0)
+        assert WireMessage(b"plain", (), 5, carried).wire_only() == b"plain"
+        assert WireMessage(b"plain", (), 5, carried).wire_only() \
+            .__class__ is bytes
+        bulk = WireMessage(b"h", ((1, b"pay"),), 4, carried).wire_only()
+        assert bulk.carried is None and bulk.to_bytes() == b"hpay"
+        bare = WireMessage(b"h", ((1, b"pay"),), 4)
+        assert bare.wire_only() is bare
+
+    def test_equality_compares_wire_images(self):
+        carried = ("one", 7, "a", "b", "t", "v", (), 0)
+        spliced = WireMessage(b"ab<>", ((2, b"XX"),), 6, carried)
+        assert spliced == WireMessage(b"ab<>", ((2, b"XX"),), 6)
+        assert spliced == b"abXX<>" and b"abXX<>" == spliced
+        assert hash(spliced) == hash(b"abXX<>")
+        assert spliced != WireMessage(b"ab<>", ((2, b"YY"),), 6)
+        assert spliced != "abXX<>"
+
 
 class TestEncodedMessages:
     def test_bulk_payload_rides_as_uncopied_segment(self):
